@@ -19,9 +19,9 @@
 //! (`cargo run -p harness --bin chaos -- --schedules 200`).
 //!
 //! The `chaos-mutants` feature re-seeds the checkpoint-integrity bug the
-//! campaign was built to catch (VeloC unpack skips CRC verification);
-//! `tests/mutant.rs` proves the campaign detects it and shrinks the
-//! failure to a two-event reproducer.
+//! campaign was built to catch (the VeloC frame decoder skips CRC
+//! verification); `tests/mutant.rs` proves the campaign detects it and
+//! shrinks the failure to a two-event reproducer.
 
 pub mod campaign;
 pub mod oracle;

@@ -1,8 +1,10 @@
 //! Campaign self-test against the seeded checkpoint-integrity bug.
 //!
-//! The `chaos-mutants` feature makes `veloc::serial::unpack` skip its CRC32
-//! comparison — re-enabling the exact silent-garbage-restore bug the
-//! integrity frame was added to close. These tests prove the campaign
+//! The `chaos-mutants` feature makes the frame decoder skip its CRC32
+//! comparisons — the meta check in `veloc::serial::parse_meta` and the
+//! payload checks in `FrameMeta::verify_payloads`, which every restart
+//! path runs — re-enabling the exact silent-garbage-restore bug the
+//! checksums were added to close. These tests prove the campaign
 //! machinery would have caught that bug: under the mutant a
 //! corruption-plus-kill schedule completes with a *wrong* digest (the
 //! oracle's divergence verdict), and the shrinker reduces any padded

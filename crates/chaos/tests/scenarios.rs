@@ -8,13 +8,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(not(feature = "chaos-mutants"))]
 use std::sync::Arc;
 
-#[cfg(not(feature = "chaos-mutants"))]
-use bytes::Bytes;
 use chaos::{ChaosSchedule, Oracle, RunOutcome};
 #[cfg(not(feature = "chaos-mutants"))]
 use cluster::{Cluster, ClusterConfig, RelaunchModel, TimeScale};
 #[cfg(not(feature = "chaos-mutants"))]
-use fenix::{DataGroup, ExhaustPolicy, FenixConfig, ImrPolicy, ImrStore, Role};
+use fenix::{ExhaustPolicy, FenixConfig, ImrPolicy, ImrStore, Role};
+#[cfg(not(feature = "chaos-mutants"))]
+use kokkos::{capture::Checkpointable, View};
+#[cfg(not(feature = "chaos-mutants"))]
+use redstore::RedStore;
+#[cfg(not(feature = "chaos-mutants"))]
+use resilience::PeerTier;
 #[cfg(not(feature = "chaos-mutants"))]
 use simmpi::{
     CorruptKind, CorruptTier, FaultSchedule, MpiError, ReduceOp, Universe, UniverseConfig,
@@ -69,18 +73,29 @@ fn spare_exhaustion_yields_typed_error_and_coherent_timeline() {
     );
 }
 
-/// IMR buddy recovery with a corrupted partner store: the holder's copy of
-/// the dead rank's data is tampered with before the failure, so the
-/// replacement receives a blob whose CRC frame no longer matches. Detection
-/// must be positive (unpack returns `None`, not garbage state), and the job
-/// must end in a *consistent* typed abort on every active rank — no hang,
-/// no panic (ISSUE 4 satellite).
+/// Peer-memory recovery with a corrupted partner store, on both peer
+/// tiers. Every survivor's copy of its peers' data is tampered with before
+/// the failure, so the replacement receives a frame whose CRCs no longer
+/// match — a whole buddy copy under IMR, the shards it rebuilds from under
+/// the redundancy store. Detection must be positive (the replacement's
+/// restore is the typed abort, not garbage state), and the job must end in
+/// a *consistent* typed abort on every active rank — no hang, no panic.
 ///
 /// Gated out of `chaos-mutants` builds: the mutant disables exactly the
 /// CRC rejection this test asserts.
 #[cfg(not(feature = "chaos-mutants"))]
 #[test]
-fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
+fn peer_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
+    // Pair policy on 4 ranks: rank 1 holds rank 0's copy. The redundancy
+    // store picks its strongest mode for 4 single-rank nodes, so rank 0 is
+    // rebuilt from shards its group peers hold.
+    tampered_peer_recovery_aborts(|| PeerTier::Imr(ImrStore::new(), Some(ImrPolicy::Pair)));
+    tampered_peer_recovery_aborts(|| PeerTier::Redstore(RedStore::new(), None));
+}
+
+#[cfg(not(feature = "chaos-mutants"))]
+fn tampered_peer_recovery_aborts(make_tier: fn() -> PeerTier) {
+    const MEMBER: u32 = 0;
     let c = Cluster::new(ClusterConfig {
         nodes: 5, // 4 active + 1 spare
         ranks_per_node: 1,
@@ -93,7 +108,7 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
     let detected = Arc::clone(&corruption_detected);
 
     let report = Universe::launch(&c, UniverseConfig::default(), plan, move |ctx| {
-        let store = ImrStore::new();
+        let tier = make_tier();
         let detected = Arc::clone(&detected);
         fenix::run(
             ctx.world(),
@@ -102,33 +117,36 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
                 on_exhaustion: ExhaustPolicy::Abort,
             },
             |fx, comm, role| {
-                // Pair policy on 4 ranks: rank 1 holds rank 0's data.
-                let group = DataGroup::new(Arc::clone(&store), comm, ImrPolicy::Pair);
+                let view: View<u8> = View::from_vec("state", vec![comm.rank() as u8; 32]);
+                let views: Vec<(u32, Arc<dyn Checkpointable>)> = vec![(0, Arc::new(view))];
                 if role == Role::Initial {
-                    let payload = serial::pack(&[(0u32, Bytes::from(vec![comm.rank() as u8; 32]))]);
-                    group.store(0, 1, payload).map_err(|_| MpiError::Aborted)?;
-                    if comm.rank() == 1 {
-                        assert!(store.tamper_held(0), "holder should have buddy data");
-                    }
+                    tier.store(comm, MEMBER, 1, &views)?;
+                    let tampered = match &tier {
+                        PeerTier::Imr(store, _) => store.tamper_held(MEMBER),
+                        PeerTier::Redstore(store, _) => store.tamper_held(MEMBER),
+                    };
+                    assert!(tampered, "every rank should hold peer data");
                     // Rank 0 dies here; survivors detect it at the finalize
                     // rendezvous and repair.
                     ctx.fault_point("after-store", 0)?;
                     return Ok(());
                 }
-                // Post-repair: collective restore. The replacement's blob
-                // comes from the tampered holder.
-                let (version, blob) = group
-                    .restore(0, &fx.recovered_ranks())
-                    .map_err(|_| MpiError::Aborted)?;
-                assert_eq!(version, 1);
-                let intact = serial::unpack(&blob).is_some();
+                // Post-repair: collective restore. The replacement's frame
+                // comes from the tampered peer copies.
+                let restored = tier.restore(comm, MEMBER, &fx.recovered_ranks(), &views);
                 if fx.recovered_ranks().contains(&comm.rank()) {
-                    assert!(!intact, "CRC frame must reject the tampered blob");
+                    assert_eq!(
+                        restored,
+                        Err(MpiError::Aborted),
+                        "the frame CRCs must reject the tampered copy"
+                    );
                     detected.store(true, Ordering::SeqCst);
+                } else {
+                    assert_eq!(restored, Ok(1), "survivors restore their own copy");
                 }
                 // Agree on restore validity so every rank takes the same
                 // exit — the typed-abort pattern the runner uses.
-                let all_ok = comm.allreduce_scalar(intact as i64, ReduceOp::Min)?;
+                let all_ok = comm.allreduce_scalar(restored.is_ok() as i64, ReduceOp::Min)?;
                 if all_ok == 0 {
                     return Err(MpiError::Aborted);
                 }
@@ -138,11 +156,15 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
         .map(|_| ())
     });
 
+    let tier = match make_tier() {
+        PeerTier::Imr(..) => "buddy IMR",
+        PeerTier::Redstore(..) => "redstore",
+    };
     assert!(
         corruption_detected.load(Ordering::SeqCst),
-        "the replacement never saw the corrupted blob"
+        "{tier}: the replacement never saw the corrupted frame"
     );
-    assert_eq!(report.killed_ranks(), vec![0]);
+    assert_eq!(report.killed_ranks(), vec![0], "{tier}");
     for o in &report.outcomes {
         if o.rank == 0 {
             continue; // the killed rank
@@ -150,7 +172,7 @@ fn imr_recovery_detects_corrupted_partner_store_and_aborts_cleanly() {
         assert_eq!(
             o.result,
             Err(MpiError::Aborted),
-            "rank {} should abort through the typed channel, got {:?}",
+            "{tier}: rank {} should abort through the typed channel, got {:?}",
             o.rank,
             o.result
         );
@@ -321,7 +343,7 @@ fn corrupted_delta_base_is_never_restored_atop() {
         .scratch()
         .read(0, "chain/v2/r0")
         .expect("v2 blob in scratch");
-    let frame = serial::unpack_any(&v2).expect("v2 parses");
+    let frame = serial::unpack_frame(&v2).expect("v2 parses");
     assert_eq!(
         frame.base_version,
         Some(1),

@@ -151,6 +151,18 @@ impl From<MpiError> for ImrError {
     }
 }
 
+impl From<ImrError> for MpiError {
+    fn from(e: ImrError) -> Self {
+        match e {
+            ImrError::Mpi(e) => e,
+            // Both replicas gone: no layer below can recover this, so the
+            // job aborts — through the error channel, keeping the surviving
+            // ranks' collectives matched instead of panicking one rank.
+            ImrError::DataLost { .. } => MpiError::Aborted,
+        }
+    }
+}
+
 impl std::fmt::Display for ImrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -591,5 +603,17 @@ mod tests {
         assert!(s.tamper_held(0));
         let got = s.held.lock().get(&0).cloned().map(|h| h.data);
         assert_eq!(got.as_deref(), Some(&[b'a', b'b', b'c' ^ 0xFF][..]));
+    }
+
+    #[test]
+    fn unrecoverable_losses_abort_through_the_error_channel() {
+        assert_eq!(
+            MpiError::from(ImrError::DataLost { member: 0, rank: 1 }),
+            MpiError::Aborted
+        );
+        assert_eq!(
+            MpiError::from(ImrError::Mpi(MpiError::Killed)),
+            MpiError::Killed
+        );
     }
 }

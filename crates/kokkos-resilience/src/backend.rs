@@ -4,8 +4,8 @@
 //!
 //! A [`DataBackend`] stores and restores the classified views of a
 //! checkpoint region. The built-in [`VelocBackend`] wraps the VeloC client
-//! in either agreement mode; the `resilience` crate provides an in-memory
-//! redundancy backend on top of Fenix data groups. Each backend owns its
+//! in either agreement mode; the `resilience` crate provides a peer-memory
+//! backend over Fenix buddy IMR or the redundancy store. Each backend owns its
 //! best-version agreement (`latest_agreed`); the default is the manual
 //! min-reduction of the paper's single-mode pattern.
 
@@ -89,8 +89,10 @@ pub trait DataBackend: Send {
     }
 }
 
-/// Adapter: a captured view as a VeloC protected region.
-struct ViewRegion(Arc<dyn Checkpointable>);
+/// Adapter: a captured view as a VeloC protected region. Every path that
+/// packs views into a frame wraps them in this, so the view's zero-copy
+/// `snapshot_into` and its allocation stamp reach the packer.
+pub struct ViewRegion(pub Arc<dyn Checkpointable>);
 
 impl Protected for ViewRegion {
     fn snapshot(&self) -> bytes::Bytes {

@@ -38,7 +38,7 @@ pub mod context;
 pub mod filter;
 pub mod stats;
 
-pub use backend::{DataBackend, RegionViews, VelocBackend};
+pub use backend::{DataBackend, RegionViews, VelocBackend, ViewRegion};
 pub use context::{BackendKind, CheckpointOutcome, Context, ContextConfig, RecoveryScope};
 pub use filter::CheckpointFilter;
 pub use stats::{RegionStats, ViewClass, ViewStat};

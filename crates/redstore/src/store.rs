@@ -67,6 +67,20 @@ impl From<CodecError> for RedError {
     }
 }
 
+impl From<RedError> for MpiError {
+    fn from(e: RedError) -> Self {
+        match e {
+            RedError::Mpi(e) => e,
+            // More shards lost than the code tolerates, or no feasible
+            // placement: no layer below can recover — abort through the
+            // error channel so the surviving ranks' collectives stay matched.
+            RedError::DataLost { .. } | RedError::Placement(_) | RedError::Codec(_) => {
+                MpiError::Aborted
+            }
+        }
+    }
+}
+
 impl std::fmt::Display for RedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -210,6 +224,26 @@ impl RedStore {
         self.own.lock().clear();
         self.held.lock().clear();
         self.layouts.lock().clear();
+    }
+
+    /// Chaos hook: silently flip the last byte of every shard this rank
+    /// holds for `member`, as a bit-rotted peer store would. Returns
+    /// `false` when nothing is held. The store ships shards verbatim —
+    /// integrity is the payload framing's job — so the damage must surface
+    /// at restore-unpack on the recovering rank, never as a panic.
+    pub fn tamper_held(&self, member: u32) -> bool {
+        let mut tampered = false;
+        for ((m, _), shard) in self.held.lock().iter_mut() {
+            if *m != member || shard.data.is_empty() {
+                continue;
+            }
+            let mut out = shard.data.to_vec();
+            let last = out.len() - 1;
+            out[last] ^= 0xFF;
+            shard.data = Bytes::from(out);
+            tampered = true;
+        }
+        tampered
     }
 }
 
@@ -729,5 +763,48 @@ mod tests {
         assert_eq!(s.resident_bytes(), 6);
         s.clear();
         assert_eq!(s.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn tamper_held_flips_the_last_byte_of_each_held_shard() {
+        let s = RedStore::new();
+        assert!(!s.tamper_held(0), "nothing held yet");
+        for (member, owner) in [(0, 1), (0, 2), (5, 1)] {
+            s.held.lock().insert(
+                (member, owner),
+                HeldShard {
+                    version: 3,
+                    index: 1,
+                    orig_len: 2,
+                    data: Bytes::from_static(b"xy"),
+                },
+            );
+        }
+        assert!(s.tamper_held(0));
+        let held = s.held.lock();
+        let data = |k: (u32, usize)| held.get(&k).map(|h| h.data.to_vec());
+        assert_eq!(data((0, 1)), Some(vec![b'x', b'y' ^ 0xFF]));
+        assert_eq!(data((0, 2)), Some(vec![b'x', b'y' ^ 0xFF]));
+        assert_eq!(
+            data((5, 1)),
+            Some(b"xy".to_vec()),
+            "other members untouched"
+        );
+    }
+
+    #[test]
+    fn unrecoverable_losses_abort_through_the_error_channel() {
+        assert_eq!(
+            MpiError::from(RedError::DataLost { member: 1, rank: 2 }),
+            MpiError::Aborted
+        );
+        assert_eq!(
+            MpiError::from(RedError::Codec(CodecError::BadGeometry("g".into()))),
+            MpiError::Aborted
+        );
+        assert_eq!(
+            MpiError::from(RedError::Mpi(MpiError::Revoked)),
+            MpiError::Revoked
+        );
     }
 }

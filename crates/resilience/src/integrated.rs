@@ -17,10 +17,10 @@ use fenix::{ExhaustPolicy, Fenix, FenixConfig, ImrPolicy, ImrStore, Role, RunSum
 use kokkos_resilience::{
     CheckpointFilter, CheckpointOutcome, Context, ContextConfig, RecoveryScope,
 };
+use redstore::RedStore;
 use simmpi::{Comm, MpiResult, Phase, Profile, RankCtx};
 
-use crate::imr_backend::ImrBackend;
-use crate::redstore_backend::RedstoreBackend;
+use crate::peer::PeerTier;
 
 /// Which data layer the integrated runtime drives.
 #[derive(Clone, Debug)]
@@ -152,8 +152,11 @@ where
         on_exhaustion: config.on_exhaustion,
     };
     let kr_cell: RefCell<Option<Context>> = RefCell::new(None);
-    let imr_store = ImrStore::new();
-    let red_store = redstore::RedStore::new();
+    let peer = match &config.backend {
+        IntegratedBackend::VelocSingle => None,
+        IntegratedBackend::Imr { policy } => Some(PeerTier::Imr(ImrStore::new(), *policy)),
+        IntegratedBackend::Redstore { mode } => Some(PeerTier::Redstore(RedStore::new(), *mode)),
+    };
     let profile: Arc<Profile> = Arc::clone(ctx.profile());
 
     let summary = fenix::run(ctx.world(), fenix_cfg, |fx, comm, role| {
@@ -165,20 +168,11 @@ where
                     backend: kokkos_resilience::BackendKind::VelocSingle,
                     aliases: config.aliases.clone(),
                 };
-                match &config.backend {
-                    IntegratedBackend::VelocSingle => {
-                        Context::new(ctx.cluster(), comm.clone(), kr_config)
+                match &peer {
+                    None => Context::new(ctx.cluster(), comm.clone(), kr_config),
+                    Some(tier) => {
+                        Context::with_backend(comm.clone(), kr_config, Box::new(tier.clone()))
                     }
-                    IntegratedBackend::Imr { policy } => Context::with_backend(
-                        comm.clone(),
-                        kr_config,
-                        Box::new(ImrBackend::new(Arc::clone(&imr_store), *policy)),
-                    ),
-                    IntegratedBackend::Redstore { mode } => Context::with_backend(
-                        comm.clone(),
-                        kr_config,
-                        Box::new(RedstoreBackend::new(Arc::clone(&red_store), *mode)),
-                    ),
                 }
             });
             kr.set_profile(Arc::clone(&profile));

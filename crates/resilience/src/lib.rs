@@ -25,10 +25,9 @@
 pub mod app;
 pub mod bookkeeper;
 pub mod driver;
-pub mod imr_backend;
 pub mod integrated;
+pub mod peer;
 pub mod record;
-pub mod redstore_backend;
 pub mod strategy;
 
 mod runner;
@@ -36,8 +35,7 @@ mod runner;
 pub use app::{IterativeApp, RankApp, RunMode};
 pub use bookkeeper::Bookkeeper;
 pub use driver::{run_experiment, try_run_experiment, ExperimentConfig, ExperimentError};
-pub use imr_backend::ImrBackend;
 pub use integrated::{resilient_main, IntegratedBackend, IntegratedConfig, ResilientScope};
+pub use peer::PeerTier;
 pub use record::{CostBreakdown, RunRecord};
-pub use redstore_backend::RedstoreBackend;
 pub use strategy::Strategy;

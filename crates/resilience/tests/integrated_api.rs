@@ -1,5 +1,6 @@
 //! Tests of the future-work extensions: the single-initialization
-//! integrated entry point and the IMR data backend for Kokkos Resilience.
+//! integrated entry point and the peer-memory data backend (buddy IMR and
+//! the redundancy store) for Kokkos Resilience.
 
 use std::sync::Arc;
 
@@ -99,19 +100,18 @@ fn reference_digest(n: usize, spares: usize, iters: u64) -> u64 {
 #[test]
 fn integrated_api_failure_free_both_backends() {
     let reference = reference_digest(5, 1, 16);
-    let (report, digest) = run_integrated(
-        5,
-        1,
-        FaultPlan::none(),
+    for backend in [
         IntegratedBackend::Imr { policy: None },
-        16,
-    );
-    assert!(report.all_ok());
-    assert_eq!(
-        digest.load(std::sync::atomic::Ordering::Relaxed),
-        reference,
-        "IMR backend must not change failure-free results"
-    );
+        IntegratedBackend::Redstore { mode: None },
+    ] {
+        let (report, digest) = run_integrated(5, 1, FaultPlan::none(), backend.clone(), 16);
+        assert!(report.all_ok());
+        assert_eq!(
+            digest.load(std::sync::atomic::Ordering::Relaxed),
+            reference,
+            "peer-memory backend must not change failure-free results: {backend:?}"
+        );
+    }
 }
 
 #[test]
@@ -179,6 +179,7 @@ fn integrated_api_failure_at_checkpoint_iteration() {
     for backend in [
         IntegratedBackend::VelocSingle,
         IntegratedBackend::Imr { policy: None },
+        IntegratedBackend::Redstore { mode: None },
     ] {
         let (report, digest) =
             run_integrated(5, 1, FaultPlan::kill_at(3, "iter", 7), backend.clone(), 16);
@@ -220,6 +221,7 @@ fn integrated_api_simultaneous_failures() {
     for backend in [
         IntegratedBackend::VelocSingle,
         IntegratedBackend::Imr { policy: None },
+        IntegratedBackend::Redstore { mode: None },
     ] {
         let (report, digest) = run_integrated(
             6,
@@ -245,6 +247,7 @@ fn integrated_api_failure_before_first_checkpoint() {
     for backend in [
         IntegratedBackend::VelocSingle,
         IntegratedBackend::Imr { policy: None },
+        IntegratedBackend::Redstore { mode: None },
     ] {
         let (report, digest) = run_integrated(
             5,

@@ -11,7 +11,7 @@ use resilience::{
     run_experiment, try_run_experiment, Bookkeeper, ExperimentConfig, ExperimentError,
     IterativeApp, RankApp, RunMode, Strategy,
 };
-use simmpi::{Comm, FaultPlan, MpiResult, Phase, RankCtx};
+use simmpi::{Backend, Comm, FaultPlan, MpiResult, Phase, RankCtx};
 
 /// A deterministic 1-D diffusion on a ring: each rank owns `cells` values;
 /// every step exchanges edge values with both neighbors and relaxes toward
@@ -334,11 +334,28 @@ fn concurrent_group_kill_redstore_recovers_where_buddy_imr_cannot() {
     let iters = 30;
     let reference = reference_digest(4, iters);
     let plan = || Arc::new(FaultPlan::kill_at(0, "iter", 12).and_kill(1, "iter", 12));
+    // "Concurrently" needs a pinned schedule: on free-running threads rank
+    // 1 can reach its kill only after the repair of rank 0 has restored
+    // the pair, and buddy IMR then recovers both losses one at a time.
+    // The seeded DES scheduler makes the interleaving a fixed input.
+    let des = |strategy| ExperimentConfig {
+        backend: Backend::Des { seed: 0x5eed },
+        ..cfg(strategy, 2)
+    };
+    let c = || {
+        Cluster::new(ClusterConfig {
+            nodes: 6, // 4 active + 2 spares
+            ranks_per_node: 1,
+            time_scale: TimeScale::instant(),
+            relaunch: RelaunchModel::free(),
+            virtual_time: true,
+            ..ClusterConfig::default()
+        })
+    };
 
     // Ranks 0 and 1 are a buddy pair under the default (even-size) Pair
     // policy: their concurrent loss is unrecoverable for buddy IMR.
-    let c = cluster(6); // 4 active + 2 spares
-    let imr = try_run_experiment(&c, &fixed_app(iters), &cfg(Strategy::FenixImr, 2), plan());
+    let imr = try_run_experiment(&c(), &fixed_app(iters), &des(Strategy::FenixImr), plan());
     match imr {
         Err(ExperimentError::RankFailed { .. }) => {}
         other => panic!("buddy IMR must fail with a typed error, got {other:?}"),
@@ -346,9 +363,9 @@ fn concurrent_group_kill_redstore_recovers_where_buddy_imr_cannot() {
 
     // Same schedule, same shape, redundancy tier: recovered exactly.
     let rec = run_experiment(
-        &c,
+        &c(),
         &fixed_app(iters),
-        &cfg(Strategy::FenixRedstore, 2),
+        &des(Strategy::FenixRedstore),
         plan(),
     );
     assert!(rec.repairs >= 1);

@@ -406,7 +406,7 @@ impl Client {
             .filter(|(id, _)| !unchanged_set.contains(id))
             .map(|(id, r)| (*id, Arc::clone(r)))
             .collect();
-        let blob = self.pack_blob(base, &changed, &unchanged);
+        let blob = pack_regions(base, &changed, &unchanged);
         if let Some(metrics) = rec.metrics() {
             let protected: usize = handles.iter().map(|(_, r)| r.byte_len()).sum();
             metrics
@@ -463,76 +463,6 @@ impl Client {
             });
         }
         Ok(())
-    }
-
-    /// Assemble the frame for `changed` regions (zero-copy pack).
-    ///
-    /// The fast path lays the finished frame out up front and serializes
-    /// each region *straight into its payload slot* — one copy from
-    /// protected memory to the frame, no intermediate `Bytes` snapshots —
-    /// fanning the fill + CRC work out across the pack pool when the
-    /// changed volume warrants it. A region whose byte length drifted
-    /// between planning and serialization (a concurrent resize) invalidates
-    /// the planned layout; the whole frame then falls back to the copying
-    /// [`serial::pack_frame`] path, whose layout follows the snapshots
-    /// themselves.
-    fn pack_blob(
-        &self,
-        base: Option<u64>,
-        changed: &[(u32, Arc<dyn Protected>)],
-        unchanged: &[u32],
-    ) -> Bytes {
-        let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
-        let changed_bytes: usize = plan.iter().map(|&(_, len)| len).sum();
-        let workers = if changed_bytes >= PARALLEL_PACK_THRESHOLD {
-            PACK_WORKERS
-        } else {
-            1
-        };
-        let mut builder = serial::FrameBuilder::new(base, &plan, unchanged);
-        let fills: Vec<Option<Option<u32>>> = {
-            let work: Vec<(&Arc<dyn Protected>, &mut [u8])> = changed
-                .iter()
-                .map(|(_, r)| r)
-                .zip(builder.payloads_mut())
-                .collect();
-            pool::scoped_map(work, workers, |(r, slot)| {
-                if r.snapshot_into(slot) {
-                    Some(serial::crc32(slot))
-                } else {
-                    None
-                }
-            })
-        };
-        let mut drifted = false;
-        for (i, (fill, (_, region))) in fills.iter().zip(changed).enumerate() {
-            match fill {
-                Some(Some(crc)) => builder.set_crc(i, *crc),
-                // The region resized between planning and serialization.
-                Some(None) => {
-                    drifted = true;
-                    break;
-                }
-                // A pool worker died mid-fill: recompute inline.
-                None => {
-                    if region.snapshot_into(builder.payload_mut(i)) {
-                        let crc = serial::crc32(builder.payload(i));
-                        builder.set_crc(i, crc);
-                    } else {
-                        drifted = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !drifted {
-            return builder.seal();
-        }
-        let packed: Vec<serial::PackedRegion> = changed
-            .iter()
-            .map(|(id, r)| serial::PackedRegion::new(*id, r.snapshot()))
-            .collect();
-        serial::pack_frame(base, &packed, unchanged)
     }
 
     /// Decide the delta plan for the next checkpoint of `name`: the base
@@ -624,12 +554,12 @@ impl Client {
     fn read_frame(&self, name: &str, version: u64) -> Option<serial::Frame> {
         let path = self.path(name, version);
         if let Some((blob, _)) = self.cluster.scratch().read(self.node(), &path) {
-            if let Some(frame) = serial::unpack_any(&blob) {
+            if let Some(frame) = serial::unpack_frame(&blob) {
                 return Some(frame);
             }
         }
         let (blob, _) = self.cluster.pfs().read(&path)?;
-        serial::unpack_any(&blob)
+        serial::unpack_frame(&blob)
     }
 
     /// Whether this rank holds an *intact* (checksum-verified) copy of
@@ -1057,6 +987,77 @@ impl std::fmt::Debug for Client {
     }
 }
 
+/// Assemble the frame for `changed` regions (zero-copy pack). Used by
+/// [`Client::checkpoint`] and by the peer-memory tiers, which store full
+/// frames (`base: None`, no `unchanged`).
+///
+/// The fast path lays the finished frame out up front and serializes
+/// each region *straight into its payload slot* — one copy from
+/// protected memory to the frame, no intermediate `Bytes` snapshots —
+/// fanning the fill + CRC work out across the pack pool when the
+/// changed volume warrants it. A region whose byte length drifted
+/// between planning and serialization (a concurrent resize) invalidates
+/// the planned layout; the whole frame then falls back to the copying
+/// [`serial::pack_frame`] path, whose layout follows the snapshots
+/// themselves.
+pub fn pack_regions(
+    base: Option<u64>,
+    changed: &[(u32, Arc<dyn Protected>)],
+    unchanged: &[u32],
+) -> Bytes {
+    let plan: Vec<(u32, usize)> = changed.iter().map(|(id, r)| (*id, r.byte_len())).collect();
+    let changed_bytes: usize = plan.iter().map(|&(_, len)| len).sum();
+    let workers = if changed_bytes >= PARALLEL_PACK_THRESHOLD {
+        PACK_WORKERS
+    } else {
+        1
+    };
+    let mut builder = serial::FrameBuilder::new(base, &plan, unchanged);
+    let fills: Vec<Option<Option<u32>>> = {
+        let work: Vec<(&Arc<dyn Protected>, &mut [u8])> = changed
+            .iter()
+            .map(|(_, r)| r)
+            .zip(builder.payloads_mut())
+            .collect();
+        pool::scoped_map(work, workers, |(r, slot)| {
+            if r.snapshot_into(slot) {
+                Some(serial::crc32(slot))
+            } else {
+                None
+            }
+        })
+    };
+    let mut drifted = false;
+    for (i, (fill, (_, region))) in fills.iter().zip(changed).enumerate() {
+        match fill {
+            Some(Some(crc)) => builder.set_crc(i, *crc),
+            // The region resized between planning and serialization.
+            Some(None) => {
+                drifted = true;
+                break;
+            }
+            // A pool worker died mid-fill: recompute inline.
+            None => {
+                if region.snapshot_into(builder.payload_mut(i)) {
+                    let crc = serial::crc32(builder.payload(i));
+                    builder.set_crc(i, crc);
+                } else {
+                    drifted = true;
+                    break;
+                }
+            }
+        }
+    }
+    if !drifted {
+        return builder.seal();
+    }
+    let packed: Vec<serial::PackedRegion> = changed
+        .iter()
+        .map(|(id, r)| serial::PackedRegion::new(*id, r.snapshot()))
+        .collect();
+    serial::pack_frame(base, &packed, unchanged)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1264,7 +1265,7 @@ mod tests {
             .scratch()
             .read(0, &format!("{name}/v{version}/r0"))
             .expect("scratch blob present");
-        serial::unpack_any(&blob).expect("intact frame")
+        serial::unpack_frame(&blob).expect("intact frame")
     }
 
     #[test]

@@ -1,24 +1,13 @@
-//! Checkpoint blob formats.
+//! The checkpoint frame format (VCF2).
 //!
-//! **VCF1** (format version 1): one checkpoint = all protected regions of
-//! one rank, packed into a single integrity-framed blob:
-//!
-//! ```text
-//! [4  bytes magic "VCF1"]
-//! [u32 crc32(body)]            // IEEE 802.3 polynomial, over `body`
-//! body:
-//!   [u32 region_count]
-//!   repeat region_count times:
-//!     [u32 region_id][u64 payload_len][payload bytes]
-//! ```
-//!
-//! **VCF2** (format version 2): an *incremental* frame. Regions whose
-//! dirty-tracking generation did not move since the last committed version
-//! are referenced by id only; their payloads live in the frame of
-//! `base_version` (which may itself be a delta — restart walks the chain).
-//! Payload integrity moves from one whole-blob CRC to per-region CRCs, so a
-//! frame's changed payloads are checkable without the base frames in hand
-//! and the parallel pack pool can compute CRCs region-by-region:
+//! One checkpoint = the protected regions of one rank, packed into one
+//! frame. A *full* frame carries every region's payload. A *delta* frame
+//! carries only the regions whose dirty-tracking generation moved since the
+//! last committed version and references the rest by id; their payloads
+//! live in the frame of `base_version` (which may itself be a delta —
+//! restart walks the chain). Every payload carries its own CRC, so a
+//! frame's payloads are checkable without the base frames in hand and the
+//! parallel pack pool can compute CRCs region by region:
 //!
 //! ```text
 //! [4  bytes magic "VCF2"]
@@ -32,32 +21,30 @@
 //! payloads: changed payloads concatenated, in `changed` order
 //! ```
 //!
-//! Restores match regions by id, so a restart can tolerate registration in
-//! a different order (Kokkos Resilience re-registers views after a context
-//! reset). [`unpack_any`] sniffs the magic, so VCF1 blobs written before
-//! this format existed still restore.
+//! VeloC's scratch and PFS tiers and the peer-memory tiers (buddy IMR and
+//! the redundancy store, which hold full frames) all store this one
+//! format. Restores match regions by id, so a restart can tolerate
+//! registration in a different order (Kokkos Resilience re-registers views
+//! after a context reset).
 //!
-//! The CRC frames exist because the structural checks alone cannot catch a
-//! flipped byte *inside* a region payload — without them, a corrupted blob
-//! would silently restore garbage application state. [`unpack`] and
-//! [`unpack_any`] reject any blob whose checksums do not match, turning
-//! silent corruption into the typed [`crate::VelocError::Corrupt`] the
-//! restart path degrades on.
+//! The CRCs exist because the structural checks alone cannot catch a
+//! flipped byte *inside* a region payload — without them, a corrupted frame
+//! would silently restore garbage application state. Decoding is split in
+//! two: [`parse_meta`] checks the structure and the meta CRC, and
+//! [`FrameMeta::verify_payloads`] checks the payload CRCs. [`unpack_frame`]
+//! runs both, turning silent corruption into a clean `None` (VeloC's
+//! restart path surfaces it as the typed [`crate::VelocError::Corrupt`]).
 //!
 //! The `chaos-mutants` feature re-enables the garbage-restore bug by
-//! skipping every checksum comparison in both formats (structure is still
-//! parsed). It exists only so the chaos campaign can prove it catches
-//! exactly this class of bug (`crates/chaos/tests/mutant.rs`); never enable
-//! it in normal builds.
+//! skipping the meta CRC check in [`parse_meta`] and the payload checks in
+//! [`FrameMeta::verify_payloads`] (structure is still parsed). It exists
+//! only so the chaos campaign can prove it catches exactly this class of
+//! bug (`crates/chaos/tests/mutant.rs`); never enable it in normal builds.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// Leading magic of a full, self-contained checkpoint blob (format
-/// version 1).
-pub const MAGIC: [u8; 4] = *b"VCF1";
-
-/// Leading magic of an incremental checkpoint frame (format version 2).
-pub const MAGIC2: [u8; 4] = *b"VCF2";
+/// Leading magic of a checkpoint frame.
+pub const MAGIC: [u8; 4] = *b"VCF2";
 
 /// Lookup tables for the slice-by-16 [`crc32`], built at compile time from
 /// the bitwise recurrence. `CRC_TABLES[0]` is the classic one-byte-at-a-time
@@ -159,72 +146,17 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Pack `(id, payload)` pairs into one checkpoint blob.
+/// Pack `(id, payload)` pairs into one full frame — the copying path, for
+/// callers that already hold snapshots.
 pub fn pack(regions: &[(u32, Bytes)]) -> Bytes {
-    let body_len: usize = 4 + regions.iter().map(|(_, b)| 12 + b.len()).sum::<usize>();
-    let mut body = BytesMut::with_capacity(body_len);
-    body.put_u32_le(regions.len() as u32);
-    for (id, payload) in regions {
-        body.put_u32_le(*id);
-        body.put_u64_le(payload.len() as u64);
-        body.put_slice(payload);
-    }
-    let body = body.freeze();
-    let mut buf = BytesMut::with_capacity(8 + body.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(crc32(&body));
-    buf.put_slice(&body);
-    buf.freeze()
+    let packed: Vec<PackedRegion> = regions
+        .iter()
+        .map(|(id, payload)| PackedRegion::new(*id, payload.clone()))
+        .collect();
+    pack_frame(None, &packed, &[])
 }
 
-/// Unpack a checkpoint blob into `(id, payload)` pairs.
-///
-/// Returns `None` on a malformed blob — wrong magic, checksum mismatch,
-/// truncation, bad counts — a restart from a corrupt checkpoint must fail
-/// cleanly, not panic, and must never silently return wrong data.
-pub fn unpack(blob: &Bytes) -> Option<Vec<(u32, Bytes)>> {
-    if blob.len() < 8 || blob[..4] != MAGIC {
-        return None;
-    }
-    let stored_crc = u32::from_le_bytes(blob[4..8].try_into().ok()?);
-    let body = blob.slice(8..);
-    // The seeded chaos mutant: skipping this verification re-enables the
-    // garbage-restore path the CRC frame exists to close.
-    #[cfg(not(feature = "chaos-mutants"))]
-    if crc32(&body) != stored_crc {
-        return None;
-    }
-    #[cfg(feature = "chaos-mutants")]
-    let _ = stored_crc;
-
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    // Guard against absurd counts from corrupt headers.
-    if count > body.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let len = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?) as usize;
-        if off + len > body.len() {
-            return None;
-        }
-        out.push((id, body.slice(off..off + len)));
-        off += len;
-    }
-    if off != body.len() {
-        return None; // trailing garbage
-    }
-    Some(out)
-}
-
-/// One changed region as it enters a VCF2 frame: payload plus its CRC,
+/// One changed region as it enters a frame: payload plus its CRC,
 /// precomputed so the parallel pack pool can fan the checksum work out and
 /// [`pack_frame`] only assembles bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -241,10 +173,7 @@ impl PackedRegion {
     }
 }
 
-/// A decoded checkpoint frame, either format version.
-///
-/// A VCF1 blob decodes as a full frame: `base_version: None`, everything in
-/// `changed`, `unchanged` empty.
+/// A decoded checkpoint frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// `None` for a self-contained full frame; `Some(v)` for a delta whose
@@ -263,7 +192,7 @@ impl Frame {
     }
 }
 
-/// Pack a VCF2 frame. A full frame passes `base_version: None` and an empty
+/// Pack a frame. A full frame passes `base_version: None` and an empty
 /// `unchanged` list; a delta frame references the committed version its
 /// unchanged regions live under.
 pub fn pack_frame(base_version: Option<u64>, changed: &[PackedRegion], unchanged: &[u32]) -> Bytes {
@@ -292,7 +221,7 @@ pub fn pack_frame(base_version: Option<u64>, changed: &[PackedRegion], unchanged
     let meta = meta.freeze();
     let payload_len: usize = changed.iter().map(|r| r.payload.len()).sum();
     let mut buf = BytesMut::with_capacity(8 + meta.len() + payload_len);
-    buf.put_slice(&MAGIC2);
+    buf.put_slice(&MAGIC);
     buf.put_u32_le(crc32(&meta));
     buf.put_slice(&meta);
     for r in changed {
@@ -309,7 +238,7 @@ fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Zero-copy VCF2 frame assembler.
+/// Zero-copy frame assembler.
 ///
 /// [`pack_frame`] touches every payload twice: once serializing protected
 /// memory into a `Bytes` snapshot, once copying the snapshot into the
@@ -342,7 +271,7 @@ impl FrameBuilder {
         let meta_len = 16 + 4 * unchanged.len() + 16 * changed.len();
         let payload_len: usize = changed.iter().map(|&(_, len)| len).sum();
         let mut buf = vec![0u8; 8 + meta_len + payload_len];
-        buf[..4].copy_from_slice(&MAGIC2);
+        buf[..4].copy_from_slice(&MAGIC);
         let mut w = 8usize;
         // Same saturating base_ref encoding as `pack_frame`.
         put_u64_at(
@@ -450,15 +379,8 @@ pub struct FrameMeta {
     pub unchanged: Vec<u32>,
     /// Changed regions in frame order: `(id, payload offset in blob, len)`.
     entries: Vec<(u32, usize, usize)>,
-    integrity: Integrity,
-}
-
-#[derive(Clone, Debug)]
-enum Integrity {
-    /// VCF2: one stored CRC per changed payload, in `entries` order.
-    PerRegion(Vec<u32>),
-    /// VCF1: one stored CRC over the whole body (`blob[8..]`).
-    WholeBody(u32),
+    /// Stored CRC of each changed payload, in `entries` order.
+    crcs: Vec<u32>,
 }
 
 impl FrameMeta {
@@ -472,22 +394,19 @@ impl FrameMeta {
     /// blob this meta was parsed from. This is the expensive half of
     /// decode, the part restart runs concurrently per frame.
     pub fn verify_payloads(&self, blob: &Bytes) -> bool {
-        // The seeded chaos mutant skips payload verification here exactly
-        // as it does in `unpack`, re-enabling the garbage-restore path.
+        // The seeded chaos mutant skips payload verification here, as it
+        // skips the meta check in `parse_meta`, re-enabling the
+        // garbage-restore path.
         #[cfg(feature = "chaos-mutants")]
         {
             let _ = blob;
             true
         }
         #[cfg(not(feature = "chaos-mutants"))]
-        match &self.integrity {
-            Integrity::WholeBody(stored) => blob.get(8..).is_some_and(|b| crc32(b) == *stored),
-            Integrity::PerRegion(crcs) => {
-                self.entries.iter().zip(crcs).all(|(&(_, off, len), &crc)| {
-                    blob.get(off..off + len).is_some_and(|p| crc32(p) == crc)
-                })
-            }
-        }
+        self.entries
+            .iter()
+            .zip(&self.crcs)
+            .all(|(&(_, off, len), &crc)| blob.get(off..off + len).is_some_and(|p| crc32(p) == crc))
     }
 
     /// Ids of the changed regions, in frame order.
@@ -506,60 +425,15 @@ impl FrameMeta {
     }
 }
 
-/// Parse a blob of either format into a [`FrameMeta`] without touching the
-/// payload bytes. All structural checks run here — magic, counts, payload
-/// extents, trailing garbage, and (VCF2) the meta CRC — so a `Some` return
-/// means the frame's *shape* and chain reference are trustworthy; only the
-/// payload checksums remain. Returns `None` on anything malformed.
+/// Parse a frame into a [`FrameMeta`] without touching the payload bytes.
+/// All structural checks run here — magic, counts, payload extents,
+/// trailing garbage, and the meta CRC — so a `Some` return means the
+/// frame's *shape* and chain reference are trustworthy; only the payload
+/// checksums remain. Returns `None` on anything malformed.
 pub fn parse_meta(blob: &Bytes) -> Option<FrameMeta> {
-    if blob.len() < 8 {
+    if blob.get(..4)? != MAGIC {
         return None;
     }
-    if blob[..4] == MAGIC {
-        return parse_meta_v1(blob);
-    }
-    if blob[..4] == MAGIC2 {
-        return parse_meta_v2(blob);
-    }
-    None
-}
-
-fn parse_meta_v1(blob: &Bytes) -> Option<FrameMeta> {
-    let stored_crc = u32::from_le_bytes(blob.get(4..8)?.try_into().ok()?);
-    let body = &blob[8..];
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    // Guard against absurd counts from corrupt headers.
-    if count > body.len() {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?);
-        let len = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?) as usize;
-        if off.checked_add(len)? > body.len() {
-            return None;
-        }
-        entries.push((id, 8 + off, len));
-        off += len;
-    }
-    if off != body.len() {
-        return None; // trailing garbage
-    }
-    Some(FrameMeta {
-        base_version: None,
-        unchanged: Vec::new(),
-        entries,
-        integrity: Integrity::WholeBody(stored_crc),
-    })
-}
-
-fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
     let stored_crc = u32::from_le_bytes(blob.get(4..8)?.try_into().ok()?);
     let body = &blob[8..];
     let mut off = 0usize;
@@ -591,7 +465,7 @@ fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
     }
     // The seeded chaos mutant skips the meta check here and the payload
     // checks in `FrameMeta::verify_payloads`, re-enabling the
-    // garbage-restore path the CRC frames exist to close.
+    // garbage-restore path the CRCs exist to close.
     #[cfg(not(feature = "chaos-mutants"))]
     if crc32(body.get(..off)?) != stored_crc {
         return None;
@@ -620,14 +494,15 @@ fn parse_meta_v2(blob: &Bytes) -> Option<FrameMeta> {
         base_version,
         unchanged,
         entries,
-        integrity: Integrity::PerRegion(crcs),
+        crcs,
     })
 }
 
-/// Unpack a VCF2 blob (magic already sniffed by [`unpack_any`]): the
-/// sequential composition of the two decode halves.
-fn unpack_v2(blob: &Bytes) -> Option<Frame> {
-    let meta = parse_meta_v2(blob)?;
+/// Unpack a frame: the sequential composition of the two decode halves.
+/// Returns `None` on any malformed or corrupt frame — a restart from a
+/// corrupt checkpoint must fail cleanly, not panic.
+pub fn unpack_frame(blob: &Bytes) -> Option<Frame> {
+    let meta = parse_meta(blob)?;
     if !meta.verify_payloads(blob) {
         return None;
     }
@@ -638,32 +513,11 @@ fn unpack_v2(blob: &Bytes) -> Option<Frame> {
     })
 }
 
-/// Unpack a checkpoint blob of *either* format version into a [`Frame`],
-/// sniffing the magic. Returns `None` on any malformed blob — a restart
-/// from a corrupt checkpoint must fail cleanly, not panic.
-pub fn unpack_any(blob: &Bytes) -> Option<Frame> {
-    if blob.len() < 8 {
-        return None;
-    }
-    if blob[..4] == MAGIC {
-        return Some(Frame {
-            base_version: None,
-            changed: unpack(blob)?,
-            unchanged: Vec::new(),
-        });
-    }
-    if blob[..4] == MAGIC2 {
-        return unpack_v2(blob);
-    }
-    None
-}
-
-/// Whether `blob` is a well-formed, checksum-intact checkpoint blob of
-/// either format version. For a VCF2 delta this checks *the frame itself*
-/// (meta + carried payloads); whether its base chain is intact is the
-/// client's chain walk to decide.
+/// Whether `blob` is a well-formed, checksum-intact frame. For a delta this
+/// checks *the frame itself* (meta + carried payloads); whether its base
+/// chain is intact is the client's chain walk to decide.
 pub fn verify(blob: &Bytes) -> bool {
-    unpack_any(blob).is_some()
+    unpack_frame(blob).is_some()
 }
 
 #[cfg(test)]
@@ -678,14 +532,16 @@ mod tests {
             (3u32, Bytes::from_static(b"gamma-data")),
         ];
         let blob = pack(&regions);
-        assert_eq!(unpack(&blob).unwrap(), regions);
+        let frame = unpack_frame(&blob).unwrap();
+        assert!(frame.is_full());
+        assert_eq!(frame.changed, regions);
         assert!(verify(&blob));
     }
 
     #[test]
     fn roundtrip_empty() {
         let blob = pack(&[]);
-        assert_eq!(unpack(&blob).unwrap(), vec![]);
+        assert_eq!(unpack_frame(&blob).unwrap().changed, vec![]);
     }
 
     #[test]
@@ -744,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_meta_then_verify_equals_unpack_any() {
+    fn parse_meta_then_verify_equals_unpack_frame() {
         let blobs = [
             delta_frame(),
             pack_frame(
@@ -752,12 +608,12 @@ mod tests {
                 &[PackedRegion::new(1, Bytes::from_static(b"alpha"))],
                 &[],
             ),
-            pack(&[(1, Bytes::from_static(b"legacy")), (2, Bytes::new())]),
+            pack(&[(1, Bytes::from_static(b"copied")), (2, Bytes::new())]),
         ];
         for blob in &blobs {
             let meta = parse_meta(blob).expect("intact blob parses");
             assert!(meta.verify_payloads(blob));
-            let frame = unpack_any(blob).unwrap();
+            let frame = unpack_frame(blob).unwrap();
             assert_eq!(meta.base_version, frame.base_version);
             assert_eq!(meta.unchanged, frame.unchanged);
             assert_eq!(meta.payloads(blob), frame.changed);
@@ -784,64 +640,6 @@ mod tests {
         let mut meta_flip = blob.to_vec();
         meta_flip[24] ^= 0xFF; // first unchanged id (8 header + 16 fixed meta)
         assert!(parse_meta(&Bytes::from(meta_flip)).is_none());
-
-        // Same split for VCF1: body flip parses, fails whole-body verify.
-        let v1 = pack(&[(1, Bytes::from_static(b"payload"))]);
-        let mut v1_flip = v1.to_vec();
-        let last = v1_flip.len() - 1;
-        v1_flip[last] ^= 0xFF;
-        let corrupted = Bytes::from(v1_flip);
-        let meta = parse_meta(&corrupted).expect("v1 structure is untouched");
-        assert!(!meta.verify_payloads(&corrupted));
-    }
-
-    #[test]
-    fn truncated_blob_fails_cleanly() {
-        let blob = pack(&[(1, Bytes::from_static(b"payload"))]);
-        for cut in [0, 3, 5, 9, blob.len() - 1] {
-            let truncated = blob.slice(0..cut);
-            assert!(unpack(&truncated).is_none(), "cut at {cut} should fail");
-            assert!(!verify(&truncated));
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_fails() {
-        let mut raw = pack(&[(1, Bytes::from_static(b"x"))]).to_vec();
-        raw.push(0xFF);
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[test]
-    fn bad_magic_fails() {
-        let mut raw = pack(&[(1, Bytes::from_static(b"x"))]).to_vec();
-        raw[0] = b'X';
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[cfg(not(feature = "chaos-mutants"))]
-    #[test]
-    fn payload_byte_flip_is_detected() {
-        // A flip inside a region payload passes every structural check —
-        // only the CRC catches it. This is the exact bug class the chaos
-        // mutant re-introduces.
-        let blob = pack(&[(1, Bytes::from_static(b"payload"))]);
-        let mut raw = blob.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0xFF;
-        assert!(unpack(&Bytes::from(raw)).is_none());
-    }
-
-    #[cfg(not(feature = "chaos-mutants"))]
-    #[test]
-    fn corrupt_count_fails() {
-        let mut raw = pack(&[]).to_vec();
-        // Body starts at offset 8; blow up the region count.
-        raw[8] = 0xFF;
-        raw[9] = 0xFF;
-        raw[10] = 0xFF;
-        raw[11] = 0x7F;
-        assert!(unpack(&Bytes::from(raw)).is_none());
     }
 
     fn delta_frame() -> Bytes {
@@ -862,7 +660,7 @@ mod tests {
             PackedRegion::new(7, Bytes::from_static(b"")),
         ];
         let blob = pack_frame(None, &regions, &[]);
-        let frame = unpack_any(&blob).unwrap();
+        let frame = unpack_frame(&blob).unwrap();
         assert!(frame.is_full());
         assert_eq!(
             frame.changed,
@@ -877,7 +675,7 @@ mod tests {
 
     #[test]
     fn vcf2_delta_frame_roundtrip() {
-        let frame = unpack_any(&delta_frame()).unwrap();
+        let frame = unpack_frame(&delta_frame()).unwrap();
         assert_eq!(frame.base_version, Some(7));
         assert_eq!(frame.unchanged, vec![1, 3]);
         assert_eq!(
@@ -896,25 +694,16 @@ mod tests {
             &[PackedRegion::new(1, Bytes::from_static(b"x"))],
             &[2],
         );
-        let frame = unpack_any(&blob).unwrap();
+        let frame = unpack_frame(&blob).unwrap();
         assert_eq!(frame.base_version, Some(0));
         assert!(!frame.is_full());
     }
 
     #[test]
-    fn unpack_any_sniffs_vcf1() {
-        let regions = vec![(1u32, Bytes::from_static(b"legacy"))];
-        let frame = unpack_any(&pack(&regions)).unwrap();
-        assert!(frame.is_full());
-        assert_eq!(frame.changed, regions);
-        assert!(frame.unchanged.is_empty());
-    }
-
-    #[test]
-    fn unpack_any_rejects_unknown_magic() {
+    fn unknown_magic_is_rejected() {
         let mut raw = delta_frame().to_vec();
         raw[3] = b'9';
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack_frame(&Bytes::from(raw)).is_none());
     }
 
     #[test]
@@ -922,7 +711,10 @@ mod tests {
         let blob = delta_frame();
         for cut in [0, 3, 7, 9, 20, blob.len() - 1] {
             let truncated = blob.slice(0..cut);
-            assert!(unpack_any(&truncated).is_none(), "cut at {cut} should fail");
+            assert!(
+                unpack_frame(&truncated).is_none(),
+                "cut at {cut} should fail"
+            );
             assert!(!verify(&truncated));
         }
     }
@@ -931,7 +723,7 @@ mod tests {
     fn vcf2_trailing_garbage_fails() {
         let mut raw = delta_frame().to_vec();
         raw.push(0xFF);
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack_frame(&Bytes::from(raw)).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
@@ -942,7 +734,7 @@ mod tests {
         let mut raw = delta_frame().to_vec();
         let last = raw.len() - 1;
         raw[last] ^= 0xFF;
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack_frame(&Bytes::from(raw)).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
@@ -953,7 +745,7 @@ mod tests {
         let blob = delta_frame();
         let mut raw = blob.to_vec();
         raw[24] ^= 0xFF; // first unchanged id (8 header + 16 fixed meta)
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack_frame(&Bytes::from(raw)).is_none());
     }
 
     #[test]
@@ -968,10 +760,10 @@ mod tests {
         meta.put_u32_le(42);
         let meta = meta.freeze();
         let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC2);
+        buf.put_slice(&MAGIC);
         buf.put_u32_le(crc32(&meta));
         buf.put_slice(&meta);
-        assert!(unpack_any(&buf.freeze()).is_none());
+        assert!(unpack_frame(&buf.freeze()).is_none());
     }
 
     #[cfg(not(feature = "chaos-mutants"))]
@@ -983,6 +775,6 @@ mod tests {
         raw[17] = 0xFF;
         raw[18] = 0xFF;
         raw[19] = 0x7F;
-        assert!(unpack_any(&Bytes::from(raw)).is_none());
+        assert!(unpack_frame(&Bytes::from(raw)).is_none());
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the checkpoint blob format (`veloc::serial`).
+//! Property tests for the checkpoint frame format (`veloc::serial`).
 //!
 //! The format is the last line of defense between storage-tier corruption
 //! and silent wrong answers, so the properties are stated adversarially:
-//! every well-formed blob round-trips exactly, and every corrupted or
-//! truncated blob either fails *cleanly* (`None`) or is byte-identical to
-//! the original — `unpack` never panics and never returns wrong data.
+//! every well-formed frame round-trips exactly, and every corrupted or
+//! truncated frame either fails *cleanly* (`None`) or is byte-identical to
+//! the original — `unpack_frame` never panics and never returns wrong data.
 
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
 use veloc::serial::{
-    crc32, crc32_bitwise, pack, pack_frame, unpack, unpack_any, verify, FrameBuilder, PackedRegion,
+    crc32, crc32_bitwise, pack, pack_frame, unpack_frame, verify, FrameBuilder, PackedRegion,
 };
 use veloc::{Client, Config, Mode, Protected, VecRegion};
 
@@ -42,7 +42,9 @@ proptest! {
         let regions = to_bytes(&regions);
         let blob = pack(&regions);
         prop_assert!(verify(&blob));
-        prop_assert_eq!(unpack(&blob).expect("intact blob unpacks"), regions);
+        let frame = unpack_frame(&blob).expect("intact blob unpacks");
+        prop_assert!(frame.is_full());
+        prop_assert_eq!(frame.changed, regions);
     }
 
     #[test]
@@ -52,18 +54,23 @@ proptest! {
         let blob = pack(&to_bytes(&regions));
         let cut = ((blob.len() as f64) * frac) as usize; // in 0..len
         let truncated = blob.slice(0..cut.min(blob.len() - 1));
-        prop_assert!(unpack(&truncated).is_none());
+        prop_assert!(unpack_frame(&truncated).is_none());
         prop_assert!(!verify(&truncated));
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(raw in proptest::collection::vec(any::<u8>(), 0usize..128)) {
-        // Fully adversarial input: unpack must return, not panic. When it
-        // does accept, re-packing must reproduce the input bit-for-bit —
-        // acceptance implies the blob really was well-formed.
+        // Fully adversarial input: unpack_frame must return, not panic.
+        // When it does accept, re-packing must reproduce the input
+        // bit-for-bit — acceptance implies the blob really was well-formed.
         let blob = Bytes::from(raw);
-        if let Some(regions) = unpack(&blob) {
-            prop_assert_eq!(pack(&regions), blob);
+        if let Some(frame) = unpack_frame(&blob) {
+            let packed: Vec<PackedRegion> = frame
+                .changed
+                .iter()
+                .map(|(id, p)| PackedRegion::new(*id, p.clone()))
+                .collect();
+            prop_assert_eq!(pack_frame(frame.base_version, &packed, &frame.unchanged), blob);
         }
     }
 }
@@ -77,15 +84,15 @@ proptest! {
         mask in 1u8..255,
     ) {
         // CRC32 detects every burst error of <= 32 bits, so a one-byte XOR
-        // anywhere in the blob (magic, checksum field, or body) must be
-        // caught — this is exactly the silent-garbage-restore bug class the
+        // anywhere in the blob (magic, checksum field, meta, or payload)
+        // must be caught — this is exactly the silent-garbage-restore bug class the
         // frame exists to close, and the one the `chaos-mutants` feature
         // re-seeds for the campaign self-test.
         let blob = pack(&to_bytes(&regions));
         let pos = ((blob.len() as f64) * pos_frac) as usize % blob.len();
         let mut raw = blob.to_vec();
         raw[pos] ^= mask;
-        prop_assert!(unpack(&Bytes::from(raw)).is_none(), "flip at {pos} undetected");
+        prop_assert!(unpack_frame(&Bytes::from(raw)).is_none(), "flip at {pos} undetected");
     }
 
     #[test]
@@ -142,11 +149,11 @@ fn crc_slice16_equals_bitwise_on_empty_and_large() {
 }
 
 // ---------------------------------------------------------------------------
-// VCF2 (incremental frames): structural round-trips, per-sub-frame
+// Incremental frames: structural round-trips, per-sub-frame
 // corruption detection, and chain-walk degradation at the client level.
 // ---------------------------------------------------------------------------
 
-/// Changed-region strategy for VCF2 frames.
+/// Changed-region strategy for frames.
 fn changed_strategy() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
     proptest::collection::vec(
         (
@@ -157,7 +164,7 @@ fn changed_strategy() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
     )
 }
 
-/// Unchanged-id strategy for VCF2 frames.
+/// Unchanged-id strategy for frames.
 fn unchanged_strategy() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(any::<u32>(), 0usize..4)
 }
@@ -191,7 +198,7 @@ proptest! {
     ) {
         let base = shape_base(base_raw, full, &unchanged);
         let blob = pack_v2(base, &changed, &unchanged);
-        let frame = unpack_any(&blob).expect("intact frame unpacks");
+        let frame = unpack_frame(&blob).expect("intact frame unpacks");
         prop_assert_eq!(frame.base_version, base);
         prop_assert_eq!(frame.unchanged, unchanged);
         let got: Vec<(u32, Vec<u8>)> = frame
@@ -237,7 +244,7 @@ proptest! {
         let blob = pack_v2(base, &changed, &unchanged);
         let cut = ((blob.len() as f64) * frac) as usize;
         let truncated = blob.slice(0..cut.min(blob.len() - 1));
-        prop_assert!(unpack_any(&truncated).is_none());
+        prop_assert!(unpack_frame(&truncated).is_none());
     }
 }
 
@@ -262,7 +269,7 @@ proptest! {
         let mut raw = blob.to_vec();
         raw[pos] ^= mask;
         prop_assert!(
-            unpack_any(&Bytes::from(raw)).is_none(),
+            unpack_frame(&Bytes::from(raw)).is_none(),
             "flip at {} undetected", pos
         );
     }
@@ -335,7 +342,7 @@ fn depends_on(c: &Cluster, versions: u64, victim: u64) -> Vec<u64> {
             let Some((blob, _)) = c.scratch().read(0, &path) else {
                 break;
             };
-            match unpack_any(&blob).and_then(|f| f.base_version) {
+            match unpack_frame(&blob).and_then(|f| f.base_version) {
                 Some(base) if base < cur => cur = base,
                 _ => break,
             }

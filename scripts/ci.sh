@@ -114,6 +114,14 @@ begin "tier-1: cargo test -q"
 cargo test -q
 end
 
+begin "workspace: cargo test --workspace --release"
+# Every test the repo contains, not only the umbrella package tier-1 runs:
+# this is where the equivalence suites that back the frame format and the
+# peer-memory tier run (veloc serial_props/restart_props, resilience
+# strategies and integrated_api), along with every crate's unit tests.
+cargo test --workspace --release
+end
+
 begin "chaos: smoke campaign + seeded integrity mutant"
 # A short seeded campaign across all three resilience layers: every
 # schedule must satisfy the differential oracle (bitwise-equal digest or a

@@ -27,7 +27,8 @@ proptest! {
     }
 
     /// Checkpoint blob pack/unpack is an exact roundtrip for arbitrary
-    /// region sets.
+    /// region sets: `pack` writes one full frame, which decodes to the
+    /// same regions in the same order.
     #[test]
     fn checkpoint_blob_roundtrip(
         regions in proptest::collection::vec(
@@ -40,7 +41,9 @@ proptest! {
             .map(|(id, data)| (id, Bytes::from(data)))
             .collect();
         let blob = serial::pack(&regions);
-        prop_assert_eq!(serial::unpack(&blob), Some(regions));
+        let frame = serial::unpack_frame(&blob).expect("intact frame decodes");
+        prop_assert!(frame.is_full());
+        prop_assert_eq!(frame.changed, regions);
     }
 
     /// Truncating a packed blob anywhere must fail cleanly, never panic.
@@ -59,7 +62,7 @@ proptest! {
         let blob = serial::pack(&regions);
         let cut = ((blob.len() as f64) * cut_fraction) as usize;
         if cut < blob.len() {
-            prop_assert_eq!(serial::unpack(&blob.slice(0..cut)), None);
+            prop_assert_eq!(serial::unpack_frame(&blob.slice(0..cut)), None);
         }
     }
 
