@@ -12,7 +12,8 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterConfig, TimeScale};
 use proptest::prelude::*;
 use veloc::serial::{
-    crc32, crc32_bitwise, pack, pack_frame, unpack_frame, verify, FrameBuilder, PackedRegion,
+    crc32, crc32_bitwise, crc32_slice16, pack, pack_frame, unpack_frame, verify, FrameBuilder,
+    PackedRegion,
 };
 use veloc::{Client, Config, Mode, Protected, VecRegion};
 
@@ -109,11 +110,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CRC slice-by-16 vs the bitwise oracle. The production `crc32` processes
-// 16 bytes per iteration through precomputed tables; `crc32_bitwise` is the
-// direct IEEE 802.3 recurrence kept solely as this oracle. They must agree
-// on every input — in particular across the chunk remainder boundaries
-// (len % 16) where table-folding bugs hide.
+// CRC kernels vs the bitwise oracle. The production `crc32` dispatches to
+// carry-less-multiply folding (x86-64 with PCLMULQDQ, inputs of 64 bytes
+// or more) or to the table-driven `crc32_slice16`; `crc32_bitwise` is the
+// direct IEEE 802.3 recurrence kept solely as this oracle. Both kernels
+// must agree with it on every input — in particular across the boundaries
+// where folding bugs hide: the 16-byte table step, the 64-byte fold
+// threshold, the 4-block fold step, and unaligned starts.
 // ---------------------------------------------------------------------------
 
 /// Deterministic splitmix-style fill: `len` and `seed` shrink cheaply while
@@ -130,11 +133,39 @@ fn fill(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// Lengths at the kernels' seams: every table remainder, one block either
+/// side of the fold threshold, and one either side of two fold steps.
+fn seam_lengths() -> impl Iterator<Item = usize> {
+    (0..=17).chain(63..=65).chain(127..=129)
+}
+
 proptest! {
     #[test]
     fn crc_slice16_equals_bitwise(len in 0usize..70_000, seed in any::<u64>()) {
         let data = fill(len, seed);
+        prop_assert_eq!(crc32_slice16(&data), crc32_bitwise(&data));
         prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+    }
+
+    #[test]
+    fn crc_kernels_equal_bitwise_at_unaligned_offsets(offset in 0usize..16, seed in any::<u64>()) {
+        let buf = fill(offset + 129, seed);
+        for len in seam_lengths() {
+            let data = &buf[offset..offset + len];
+            let want = crc32_bitwise(data);
+            prop_assert_eq!(crc32(data), want, "crc32 len {} offset {}", len, offset);
+            prop_assert_eq!(crc32_slice16(data), want, "slice16 len {} offset {}", len, offset);
+        }
+    }
+}
+
+#[test]
+fn crc_kernels_equal_bitwise_on_4mib() {
+    let buf = fill((4 << 20) + 3, 0x4D1B);
+    for data in [&buf[..4 << 20], &buf[3..]] {
+        let want = crc32_bitwise(data);
+        assert_eq!(crc32(data), want);
+        assert_eq!(crc32_slice16(data), want);
     }
 }
 
@@ -145,6 +176,7 @@ fn crc_slice16_equals_bitwise_on_empty_and_large() {
     assert_eq!(crc32(&[]), crc32_bitwise(&[]));
     let big = fill(96 * 1024, 0x5EED);
     assert_eq!(crc32(&big), crc32_bitwise(&big));
+    assert_eq!(crc32_slice16(&big), crc32_bitwise(&big));
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
 }
 

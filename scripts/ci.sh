@@ -186,8 +186,9 @@ begin "bench gate: checkpoint + redundancy + sched + restart"
 # redundancy-tier codecs (low-water-mark medians vs BENCH_redundancy.json,
 # plus XOR-cheaper-than-RS sanity), the DES scheduler hot paths, and the
 # restart path (full restore + 8-frame chain walk vs BENCH_restart.json
-# under RESTART_MAX_REGRESSION_PCT, plus the slice-by-16-beats-bitwise CRC
-# claim). All comparisons run through the tested bench_compare helper; see
+# under RESTART_MAX_REGRESSION_PCT, plus the CRC kernel claims: slice-by-16
+# beats bitwise, and PCLMULQDQ folding is >= 3x slice-by-16 where the CPU
+# has it). All comparisons run through the tested bench_compare helper; see
 # scripts/bench_gate.sh for knobs.
 if [ "${CI_QUICK:-0}" = "1" ]; then
   echo "CI_QUICK=1: skipping benchmark regression gate"
