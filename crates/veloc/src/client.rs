@@ -647,15 +647,17 @@ impl Client {
         };
         let mut bound = bound;
         loop {
-            let local = self
-                .latest_intact_version(name, bound)
-                .map_or(-1i64, |v| v as i64);
-            let proposed = comm.allreduce_scalar(local, ReduceOp::Min)?;
+            let local = self.latest_intact_version(name, bound);
+            let local_wire = local.map_or(-1i64, |v| v as i64);
+            let proposed = comm.allreduce_scalar(local_wire, ReduceOp::Min)?;
             if proposed < 0 {
                 return Ok(None);
             }
             let v = proposed as u64;
-            let ok_here = self.version_intact(name, v) as i64;
+            // `latest_intact_version` has just verified `local`, and stored
+            // frames change only when written, so a proposal equal to it
+            // needs no second read.
+            let ok_here = (local == Some(v) || self.version_intact(name, v)) as i64;
             let all_ok = comm.allreduce_scalar(ok_here, ReduceOp::Min)?;
             if all_ok == 1 {
                 return Ok(Some(v));
@@ -1135,6 +1137,73 @@ mod tests {
         r.lock().iter_mut().for_each(|x| *x = 0);
         assert_eq!(cl.restart("ck", 1).unwrap(), 1);
         assert_eq!(*r.lock(), vec![7u32; 4]);
+    }
+
+    #[test]
+    fn agreement_on_intact_newest_version_reads_each_frame_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        use simmpi::{Backend, FaultPlan, Universe, UniverseConfig};
+
+        // Scratch at one byte per modeled second: each frame read is a
+        // modeled transfer of whole seconds, which a per-thread virtual
+        // sleeper tells apart from the agreement's microsecond messages.
+        let c = Cluster::new(ClusterConfig {
+            nodes: 2,
+            ranks_per_node: 1,
+            scratch_bandwidth: 1.0,
+            time_scale: TimeScale::instant(),
+            ..ClusterConfig::default()
+        });
+        // Per rank: (agreed version, v2 is a delta, frame reads).
+        let seen = Mutex::new(Vec::new());
+        let report = Universe::launch(
+            &c,
+            UniverseConfig {
+                backend: Backend::Threads,
+                ..UniverseConfig::default()
+            },
+            Arc::new(FaultPlan::none()),
+            |ctx| {
+                let cl = Client::init(
+                    c.clone(),
+                    ctx.rank(),
+                    Config {
+                        mode: Mode::Single,
+                        async_flush: false,
+                    },
+                );
+                cl.protect(0, Arc::new(VecRegion::new(vec![ctx.rank() as u8; 64])));
+                // v2 leaves the region untouched: a delta on the full v1.
+                let written = cl.checkpoint("ck", 1).and(cl.checkpoint("ck", 2));
+                let delta = c
+                    .scratch()
+                    .read(ctx.rank(), &cl.path("ck", 2))
+                    .and_then(|(blob, _)| serial::unpack_frame(&blob))
+                    .is_some_and(|f| f.base_version == Some(1));
+                let reads = Arc::new(AtomicUsize::new(0));
+                let counter = Arc::clone(&reads);
+                let guard = cluster::install_virtual_sleeper(Arc::new(move |d: Duration| {
+                    if d >= Duration::from_secs(1) {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                }));
+                let agreed = cl.agree_intact_version("ck", Some(ctx.world()));
+                drop(guard);
+                seen.lock()
+                    .push((written.and(agreed), delta, reads.load(Ordering::Relaxed)));
+                Ok(())
+            },
+        );
+        assert!(report.all_ok());
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), 2);
+        for (agreed, delta, reads) in seen {
+            assert_eq!(agreed, Ok(Some(2)));
+            assert!(delta, "v2 is a delta frame on v1");
+            assert_eq!(reads, 2, "v2 and its base v1, each read once");
+        }
     }
 
     #[test]
